@@ -33,7 +33,6 @@ mod dlinear;
 mod lightts;
 mod minirocket;
 mod nbeats;
-mod nbeats_interp;
 mod nlinear;
 mod nhits;
 pub mod ar;
@@ -50,7 +49,6 @@ pub use dlinear::DLinear;
 pub use lightts::LightTs;
 pub use minirocket::{MiniRocket, MiniRocketClassifier};
 pub use nbeats::NBeats;
-pub use nbeats_interp::{InterpretableForecast, NBeatsInterpretable};
 pub use nlinear::NLinear;
 pub use nhits::NHits;
 pub use patchtst::PatchTst;

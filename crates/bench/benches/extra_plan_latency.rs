@@ -4,8 +4,8 @@
 //!
 //! Each model is first byte-compared plan-vs-tape on the bench input, so a
 //! latency row can never hide a numerics change. The bench *fails* (non-zero
-//! exit) if the plan path falls below the 1.1x floor the serving runtime's
-//! default (`use_plans: true`) is predicated on.
+//! exit) if the plan path falls below the 1.1x floor that the serving
+//! runtime's unconditional plan path is predicated on.
 //!
 //! Run with `cargo bench -p msd-bench --bench extra_plan_latency`.
 //! Rows append to `target/BENCH_kernels.json` (one JSON object per line).

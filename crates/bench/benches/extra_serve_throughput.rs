@@ -74,7 +74,6 @@ fn main() {
                 queue_cap: requests,
                 workers,
                 events_path: None,
-                use_plans: true,
                 ..ServeConfig::default()
             },
         )

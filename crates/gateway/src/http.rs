@@ -490,26 +490,6 @@ impl Client {
     }
 }
 
-/// Escapes `raw` for inclusion inside a JSON string literal.
-pub fn json_escape(raw: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

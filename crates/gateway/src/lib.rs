@@ -64,16 +64,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use http::{
-    json_escape, read_request, response_head, write_response, write_response_throttled, Request,
-    Response,
+    read_request, response_head, write_response, write_response_throttled, Request, Response,
 };
-use msd_serve::{Chaos, ServeConfig};
+use msd_serve::{json_escape, Chaos, ServeConfig};
 
 /// Tuning knobs for [`Gateway::bind`].
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Per-replica serving runtime configuration (queue bound, batcher,
-    /// worker pool).
+    /// Per-replica serving runtime configuration (queue bound, batching
+    /// window, worker pool).
     pub serve: ServeConfig,
     /// Replica `Server`s per model (≥ 1); the router shards keys across
     /// them.

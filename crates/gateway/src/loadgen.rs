@@ -432,7 +432,7 @@ impl GatewayBenchRow {
             self.attempts,
             self.retries,
             self.hedges,
-            crate::http::json_escape(&self.fault_plan)
+            msd_serve::json_escape(&self.fault_plan)
         );
         s
     }

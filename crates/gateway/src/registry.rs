@@ -32,11 +32,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use msd_nn::{DynModel, ParamStore, PrecisionTier};
-use msd_serve::{ServeConfig, ServeError, ServeStats, Server};
+use msd_serve::{json_escape, ServeConfig, ServeError, ServeStats, Server};
 use msd_tensor::Tensor;
 
 use crate::health::{BreakerConfig, BrownoutConfig, ReplicaHealth};
-use crate::http::json_escape;
 use crate::router::route_healthy;
 
 /// Builds one fresh instance of a model: the architecture with its
@@ -121,7 +120,7 @@ pub enum GatewayError {
         retry_after_secs: u64,
     },
     /// The request's deadline expired before an answer was produced —
-    /// either shed by the replica's batcher or timed out at the gateway's
+    /// either shed by the replica's runtime or timed out at the gateway's
     /// wait. Maps to HTTP 504.
     DeadlineExceeded,
     /// The replica answered with an internal serving error (worker panic).
@@ -146,7 +145,7 @@ impl std::fmt::Display for GatewayError {
 impl std::error::Error for GatewayError {}
 
 /// The `Retry-After` hint (seconds) for a shed request: one second of
-/// floor, plus the batcher's full wait window, plus one second per full
+/// floor, plus the replica's full batching window, plus one second per full
 /// queue's worth of requests already in flight, clamped to 30 s so a
 /// misconfigured gateway can never tell clients to go away for minutes.
 /// Pure so the known-answer test pins the exact values clients see.
@@ -343,10 +342,10 @@ impl Registry {
     /// `deadline` is the caller-supplied absolute deadline (from the
     /// `X-Msd-Deadline-Ms` header); `None` falls back to the registry's
     /// default. The gateway waits a short grace past the deadline —
-    /// `2 × max_wait + 50 ms` — so a batcher-shed request surfaces as the
-    /// replica's typed `DeadlineExceeded` rather than a gateway-side
-    /// timeout; only a genuinely wedged replica hits the timeout path,
-    /// which counts as a breaker error.
+    /// `2 × max_wait + 50 ms` — so a request a replica worker sheds while
+    /// sealing its batch surfaces as the replica's typed `DeadlineExceeded`
+    /// rather than a gateway-side timeout; only a genuinely wedged replica
+    /// hits the timeout path, which counts as a breaker error.
     pub fn predict(
         &self,
         name: &str,

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use msd_autograd::{CompiledPlan, PlanError};
 use msd_gateway::http::Client;
 use msd_gateway::loadgen::{run_tcp_open_loop, TcpLoadSpec, TcpRequest};
 use msd_gateway::router::{route, route_order};
@@ -73,6 +74,12 @@ impl Model for Sickable {
         }
         self.inner.forward(ctx, x)
     }
+    /// A compiled plan would replay kernels without re-entering `forward`;
+    /// refusing to compile keeps the sick switch on the hot path, honored
+    /// per request.
+    fn compile_plan(&self, _: &ParamStore, _: &[usize]) -> Result<CompiledPlan, PlanError> {
+        Err(PlanError::UnsupportedOp("sickable"))
+    }
 }
 
 /// A factory whose FIRST build (replica 0 — the registry builds replicas in
@@ -111,8 +118,7 @@ fn key_for_replica(want: usize, replicas: usize) -> String {
         .unwrap()
 }
 
-/// Serve config for fault tests: no batching tricks, forward on the hot
-/// path so the sick switch is honored per request.
+/// Serve config for fault tests: no batching tricks.
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
         max_batch: 1,
@@ -120,7 +126,6 @@ fn serve_cfg() -> ServeConfig {
         queue_cap: 256,
         workers: 1,
         events_path: None,
-        use_plans: false,
         ..ServeConfig::default()
     }
 }

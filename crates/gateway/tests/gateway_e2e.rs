@@ -128,7 +128,6 @@ fn quick_cfg(replicas: usize) -> GatewayConfig {
             queue_cap: 256,
             workers: 2,
             events_path: None,
-            use_plans: true,
             ..ServeConfig::default()
         },
         replicas,
@@ -307,7 +306,6 @@ fn overload_answers_429_and_loses_nothing() {
         queue_cap: 2,
         workers: 1,
         events_path: None,
-        use_plans: true,
         ..ServeConfig::default()
     };
     let gw = Gateway::bind("127.0.0.1:0", cfg).unwrap();

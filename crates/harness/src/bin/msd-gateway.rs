@@ -89,7 +89,6 @@ fn main() {
             queue_cap,
             workers,
             events_path: None,
-            use_plans: true,
             default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             ..ServeConfig::default()
         },

@@ -113,7 +113,6 @@ fn serve_tier(
             queue_cap: 16,
             workers: 1,
             events_path: None,
-            use_plans: true,
             ..ServeConfig::default()
         },
     )

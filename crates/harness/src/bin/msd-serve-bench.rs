@@ -106,7 +106,6 @@ fn main() {
             queue_cap: requests.max(256),
             workers,
             events_path: events.map(Into::into),
-            use_plans: true,
             ..ServeConfig::default()
         },
     )

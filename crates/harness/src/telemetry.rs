@@ -12,6 +12,8 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
+use msd_serve::json_escape;
+
 /// One structured event emitted by the training driver.
 #[derive(Clone, Debug)]
 pub enum TrainEvent {
@@ -273,25 +275,6 @@ pub fn json_f32(v: f32) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Aggregated counters over one training run — always collected, embedded

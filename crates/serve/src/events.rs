@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -78,7 +78,10 @@ impl ServeEvent {
     }
 }
 
-fn json_escape(raw: &str) -> String {
+/// Escapes `raw` for inclusion inside a JSON string literal. The one
+/// escaper every JSON emitter in the workspace shares (serve telemetry,
+/// gateway bodies, training telemetry), so they agree byte for byte.
+pub fn json_escape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {
@@ -97,8 +100,13 @@ fn json_escape(raw: &str) -> String {
 }
 
 /// Optional append-only JSONL sink, shared by every runtime thread.
+///
+/// Unbuffered on purpose: each event reaches the file as one append of the
+/// object plus its newline, so servers sharing one path (a gateway's
+/// replicas) never split or interleave a line, and the file is complete
+/// whenever a reader looks.
 pub(crate) struct EventSink {
-    out: Option<Mutex<BufWriter<File>>>,
+    out: Option<Mutex<File>>,
 }
 
 impl EventSink {
@@ -114,20 +122,16 @@ impl EventSink {
             .append(true)
             .open(path)?;
         Ok(EventSink {
-            out: Some(Mutex::new(BufWriter::new(file))),
+            out: Some(Mutex::new(file)),
         })
     }
 
     pub(crate) fn emit(&self, event: &ServeEvent) {
         if let Some(out) = &self.out {
-            let mut w = out.lock().unwrap_or_else(|p| p.into_inner());
-            let _ = writeln!(w, "{}", event.to_json());
-        }
-    }
-
-    pub(crate) fn flush(&self) {
-        if let Some(out) = &self.out {
-            let _ = out.lock().unwrap_or_else(|p| p.into_inner()).flush();
+            let mut line = event.to_json();
+            line.push('\n');
+            let mut file = out.lock().unwrap_or_else(|p| p.into_inner());
+            let _ = file.write_all(line.as_bytes());
         }
     }
 }
@@ -194,12 +198,50 @@ mod tests {
             size: 2,
             eval_us: 7,
         });
-        sink.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("serve_reject"));
         assert!(lines[1].contains("\"size\":2"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sinks_sharing_one_path_never_split_a_line() {
+        // Two servers (a gateway's replicas) appending to one events file.
+        // Events larger than any write buffer plus small ones, alternating
+        // between the sinks: every line must still be one whole object.
+        let dir = std::env::temp_dir().join("msd_serve_events_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("shared_events.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let sinks = [
+            EventSink::to_path(&path).unwrap(),
+            EventSink::to_path(&path).unwrap(),
+        ];
+        let big = ServeEvent::WorkerPanic {
+            message: "x".repeat(10_000),
+        };
+        let small = ServeEvent::BatchEnd {
+            size: 3,
+            eval_us: 42,
+        };
+        for i in 0..40 {
+            let sink = &sinks[i % 2];
+            sink.emit(if i % 3 == 0 { &small } else { &big });
+        }
+        drop(sinks);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 40, "one line per event");
+        for (i, line) in lines.iter().enumerate() {
+            assert!(
+                line.starts_with("{\"event\":\"serve_") && line.ends_with('}'),
+                "line {i} is not one whole event: {}",
+                &line[..line.len().min(80)]
+            );
+            assert_eq!(line.matches('{').count(), 1, "line {i} holds two objects");
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -27,17 +27,20 @@
 //! ## Anatomy
 //!
 //! ```text
-//! submit() --try_send--> [bounded queue] --> batcher --> [batch queue] --> workers
-//!    |                                        (groups same-shape requests      |
-//!    |                                         until max_batch or max_wait)    |
+//! submit() --try_send--> [bounded queue] --> workers --.
+//!    |                                     (the one holding the queue
+//!    |                                      seals same-shape requests until
+//!    |                                      max_batch or max_wait, releases
+//!    |                                      the queue, then evaluates)    |
 //!    '<------------------- per-request response channel <-----------------'
 //! ```
 //!
-//! The batcher is a single thread, so batch composition is deterministic
-//! given an arrival order. Workers each own an [`msd_nn::EvalScratch`] so
-//! repeated forwards reuse tape allocations. Counters ([`ServeStats`]) are
-//! always on; JSONL telemetry ([`ServeEvent`]) is opt-in via
-//! [`ServeConfig::events_path`] and mirrors the training telemetry schema.
+//! Workers take turns holding the intake, so only one thread composes a
+//! batch at a time and composition is deterministic given an arrival order.
+//! Workers each own an [`msd_nn::EvalScratch`] so repeated forwards reuse
+//! tape allocations. Counters ([`ServeStats`]) are always on; JSONL
+//! telemetry ([`ServeEvent`]) is opt-in via [`ServeConfig::events_path`]
+//! and mirrors the training telemetry schema.
 
 pub mod chaos;
 mod events;
@@ -45,7 +48,7 @@ pub mod loadgen;
 mod stats;
 
 pub use chaos::{Chaos, FaultPlan, FaultPoint};
-pub use events::ServeEvent;
+pub use events::{json_escape, ServeEvent};
 pub use stats::{percentile, ServeStats};
 
 use std::collections::HashMap;
@@ -70,10 +73,10 @@ type PlanCache = Mutex<HashMap<Vec<usize>, Option<Arc<CompiledPlan>>>>;
 /// Tuning knobs for [`Server::start`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Largest micro-batch the batcher will pack (≥ 1).
+    /// Largest micro-batch a worker will seal (≥ 1).
     pub max_batch: usize,
     /// Longest a seed request waits for companions before its batch is
-    /// dispatched anyway. Zero disables coalescing entirely: every request
+    /// sealed anyway. Zero disables coalescing entirely: every request
     /// ships as a batch of one.
     pub max_wait: Duration,
     /// Bound of the admission queue; a full queue rejects with
@@ -85,12 +88,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Optional JSONL sink for [`ServeEvent`] telemetry.
     pub events_path: Option<PathBuf>,
-    /// Evaluate batches through compiled inference plans
-    /// ([`msd_nn::Model::compile_plan`]), falling back to tape eval for any
-    /// shape whose compile fails. On by default; `MSD_PLAN=off` (or `0`)
-    /// overrides this to `false` at [`Server::start`] without a rebuild.
-    /// Answers are bit-identical either way — plans only change latency.
-    pub use_plans: bool,
     /// Default per-request deadline applied at admission when the caller
     /// does not pass one to [`Server::submit_with_deadline`]. `None` (the
     /// default) means requests never expire — the pre-deadline behavior,
@@ -111,7 +108,6 @@ impl Default for ServeConfig {
             queue_cap: 256,
             workers: 4,
             events_path: None,
-            use_plans: true,
             default_deadline: None,
             chaos: None,
         }
@@ -121,11 +117,10 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Preset for one-at-a-time callers (the streaming scorer): coalescing
     /// off (`max_wait` zero), a single worker, and batches of one. A
-    /// sequential caller gains nothing from the batcher window — it only
+    /// sequential caller gains nothing from the coalescing window — it only
     /// adds `max_wait` of dead time per request — and one worker keeps the
     /// evaluation order identical to the submission order, which the stream
-    /// replay-determinism gate relies on. Plans stay on: they are
-    /// bit-identical to tape eval and this is the latency-sensitive path.
+    /// replay-determinism gate relies on.
     pub fn low_latency() -> Self {
         ServeConfig {
             max_batch: 1,
@@ -134,13 +129,6 @@ impl ServeConfig {
             ..ServeConfig::default()
         }
     }
-}
-
-/// Whether `MSD_PLAN` disables compiled plans for this process.
-fn plan_env_off() -> bool {
-    std::env::var("MSD_PLAN")
-        .map(|v| v.eq_ignore_ascii_case("off") || v == "0")
-        .unwrap_or(false)
 }
 
 /// Why the runtime could not (or will not) answer a request.
@@ -179,10 +167,9 @@ impl std::error::Error for ServeError {}
 struct Request {
     x: Tensor,
     admitted: Instant,
-    /// Absolute deadline; `None` never expires. Checked by the batcher
-    /// before packing and by workers before evaluating, so an expired
-    /// request is shed instead of burning model time on an answer nobody
-    /// is waiting for.
+    /// Absolute deadline; `None` never expires. Checked at admission and
+    /// again when a worker seals its batch, so an expired request is shed
+    /// instead of burning model time on an answer nobody is waiting for.
     deadline: Option<Instant>,
     resp: SyncSender<Result<Tensor, ServeError>>,
 }
@@ -228,7 +215,7 @@ impl Pending {
     }
 }
 
-/// State shared by the intake, the batcher, and every worker.
+/// State shared by the intake and every worker.
 struct Shared {
     stats: StatsInner,
     events: EventSink,
@@ -238,15 +225,14 @@ struct Shared {
 /// [`Server::shutdown`]) drains all in-flight work before returning.
 pub struct Server {
     intake: Option<SyncSender<Request>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
     default_deadline: Option<Duration>,
 }
 
 impl Server {
-    /// Spawns the batcher and worker threads and starts serving `model`
-    /// with the (frozen) parameters in `store`.
+    /// Spawns the worker threads and starts serving `model` with the
+    /// (frozen) parameters in `store`.
     ///
     /// Fails only if `cfg.events_path` cannot be opened for appending.
     pub fn start(
@@ -255,6 +241,7 @@ impl Server {
         cfg: ServeConfig,
     ) -> std::io::Result<Server> {
         let max_batch = cfg.max_batch.max(1);
+        let max_wait = cfg.max_wait;
         let workers = cfg.workers.max(1);
         let events = match &cfg.events_path {
             Some(path) => EventSink::to_path(path)?,
@@ -267,23 +254,12 @@ impl Server {
         let engine: Arc<(Box<dyn Model + Send + Sync>, ParamStore)> =
             Arc::new((Box::new(model), store));
 
-        let (intake_tx, intake_rx) = sync_channel::<Request>(cfg.queue_cap.max(1));
-        // The batch queue is bounded by the worker count: if every worker
-        // is busy, the batcher blocks here, the admission queue fills, and
-        // intake starts rejecting — backpressure propagates to callers as
-        // typed errors instead of unbounded memory growth.
-        let (batch_tx, batch_rx) = sync_channel::<Vec<Request>>(workers);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            let max_wait = cfg.max_wait;
-            std::thread::Builder::new()
-                .name("msd-serve-batcher".into())
-                .spawn(move || batcher_loop(intake_rx, batch_tx, max_batch, max_wait, &shared))
-                .expect("spawn batcher thread")
-        };
-        let use_plans = cfg.use_plans && !plan_env_off();
+        // Nothing is sealed ahead of a free worker: while every worker is
+        // busy, admitted requests wait in the bounded intake, which fills and
+        // starts rejecting — backpressure reaches callers as typed errors
+        // instead of unbounded memory growth.
+        let (intake_tx, rx) = sync_channel::<Request>(cfg.queue_cap.max(1));
+        let intake = Arc::new(Mutex::new(Intake { rx, parked: None }));
         let chaos = cfg.chaos.clone().or_else(Chaos::from_env);
         // Compiled plans are pool-global: compilation is expensive (traces
         // plus probe verification at the full batch shape), so a shape must
@@ -292,14 +268,22 @@ impl Server {
         let workers = (0..workers)
             .map(|i| {
                 let engine = Arc::clone(&engine);
-                let rx = Arc::clone(&batch_rx);
+                let intake = Arc::clone(&intake);
                 let shared = Arc::clone(&shared);
                 let plan_cache = Arc::clone(&plan_cache);
                 let chaos = chaos.clone();
                 std::thread::Builder::new()
                     .name(format!("msd-serve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(&engine, &rx, &shared, use_plans, &plan_cache, chaos)
+                        worker_loop(
+                            &engine,
+                            &intake,
+                            max_batch,
+                            max_wait,
+                            &shared,
+                            &plan_cache,
+                            chaos,
+                        )
                     })
                     .expect("spawn worker thread")
             })
@@ -307,7 +291,6 @@ impl Server {
 
         Ok(Server {
             intake: Some(intake_tx),
-            batcher: Some(batcher),
             workers,
             shared,
             default_deadline: cfg.default_deadline,
@@ -333,10 +316,11 @@ impl Server {
     ///
     /// A request whose deadline passes before a worker evaluates it is shed
     /// — answered [`ServeError::DeadlineExceeded`] and counted in
-    /// [`ServeStats::expired`] — without running the model. A deadline
-    /// does not interrupt an evaluation already in flight: once a live
-    /// request enters the forward pass it completes normally, so answers
-    /// stay bit-identical regardless of deadline pressure.
+    /// [`ServeStats::expired`] — without running the model; one already
+    /// past its deadline is shed here, at admission, and never queued. A
+    /// deadline does not interrupt an evaluation already in flight: once a
+    /// live request enters the forward pass it completes normally, so
+    /// answers stay bit-identical regardless of deadline pressure.
     pub fn submit_with_deadline(
         &self,
         x: Tensor,
@@ -350,6 +334,13 @@ impl Server {
             deadline,
             resp: tx,
         };
+        // A busy pool has no thread watching the queue, so a request that
+        // arrives dead is answered now rather than when a worker frees up.
+        if req.expired(req.admitted) {
+            self.shared.stats.note_submit();
+            expire(&self.shared, req);
+            return Ok(Pending { rx });
+        }
         match intake.try_send(req) {
             Ok(()) => {
                 self.shared.stats.note_submit();
@@ -408,14 +399,12 @@ impl Server {
         self.shared.events.emit(&ServeEvent::Stop {
             stats: stats.clone(),
         });
-        self.shared.events.flush();
         stats
     }
 
     fn drain(&mut self) {
-        // Dropping the intake sender ends the batcher's recv loop once the
-        // queue is empty; the batcher then drops the batch sender, which
-        // ends the workers once dispatched batches are answered.
+        // Dropping the intake sender ends each worker once `parked` and the
+        // queue are empty and its last batch is answered.
         //
         // Idempotent: `take()`/`drain(..)` leave nothing behind for a second
         // call (shutdown-then-Drop) to join again. Worker panics never reach
@@ -425,9 +414,6 @@ impl Server {
         // held is dropped, which surfaces to callers as `Canceled` rather
         // than a hang.
         drop(self.intake.take());
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -437,32 +423,35 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.drain();
-        self.shared.events.flush();
     }
 }
 
-/// Groups admitted requests into micro-batches.
-///
-/// A batch is seeded by the first waiting request, then grows with every
-/// same-shape arrival until it reaches `max_batch` or the seed has waited
-/// `max_wait`. A differently-shaped arrival closes the current batch and
-/// seeds the next one, so mixed-shape traffic degrades to smaller batches
-/// instead of failing.
-fn batcher_loop(
+/// The admission queue plus the shape-change request parked to seed the
+/// next batch. Workers share it behind one mutex; the holder seals a batch.
+struct Intake {
     rx: Receiver<Request>,
-    tx: SyncSender<Vec<Request>>,
+    parked: Option<Request>,
+}
+
+/// Seals the next micro-batch off the intake; `None` once the intake is
+/// closed and both `parked` and the queue are empty.
+///
+/// A batch is seeded by the parked request or else the first waiting one,
+/// then grows with every same-shape arrival until it reaches `max_batch` or
+/// the seed has waited `max_wait`. A differently-shaped arrival closes the
+/// current batch and is parked to seed the next one, so mixed-shape traffic
+/// degrades to smaller batches instead of failing.
+fn seal_batch(
+    intake: &mut Intake,
     max_batch: usize,
     max_wait: Duration,
     shared: &Shared,
-) {
-    let mut pending: Option<Request> = None;
+) -> Option<Vec<Request>> {
     loop {
-        let seed = match pending.take() {
+        let seed = match intake.parked.take() {
             Some(r) => r,
-            None => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => break, // intake closed and queue drained
-            },
+            // Intake closed and queue drained.
+            None => intake.rx.recv().ok()?,
         };
         // Shed a seed that expired while queued: answering it now costs a
         // channel send; packing it would cost a model evaluation nobody is
@@ -472,11 +461,11 @@ fn batcher_loop(
             continue;
         }
         // The coalescing window is anchored at the seed's *admission*, not
-        // at the moment the batcher picked it up. A seed that already sat in
-        // the queue — in particular a shape-change request parked in
-        // `pending` while the previous batch finished collecting — has spent
-        // its wait budget; re-anchoring at pop time silently extended its
-        // worst-case latency to nearly 2× `max_wait`.
+        // at the moment a worker picked it up. A seed that already sat in
+        // the queue — in particular a shape-change request parked while
+        // every worker was busy — has spent its wait budget; re-anchoring
+        // at pop time silently extended its worst-case latency to nearly
+        // 2× `max_wait`.
         let deadline = seed.admitted + max_wait;
         let mut batch = vec![seed];
         let mut closed = false;
@@ -485,11 +474,11 @@ fn batcher_loop(
         // in the queue) still packs the burst instead of degrading to
         // singleton batches.
         while !closed && batch.len() < max_batch {
-            match rx.try_recv() {
+            match intake.rx.try_recv() {
                 Ok(r) if r.expired(Instant::now()) => expire(shared, r),
                 Ok(r) if r.x.shape() == batch[0].x.shape() => batch.push(r),
                 Ok(r) => {
-                    pending = Some(r);
+                    intake.parked = Some(r);
                     closed = true;
                 }
                 Err(_) => break,
@@ -500,14 +489,14 @@ fn batcher_loop(
             if now >= deadline {
                 break;
             }
-            match rx.recv_timeout(deadline - now) {
+            match intake.rx.recv_timeout(deadline - now) {
                 Ok(r) => {
                     if r.expired(Instant::now()) {
                         expire(shared, r);
                     } else if r.x.shape() == batch[0].x.shape() {
                         batch.push(r);
                     } else {
-                        pending = Some(r);
+                        intake.parked = Some(r);
                         break;
                     }
                 }
@@ -516,29 +505,7 @@ fn batcher_loop(
             }
         }
         shared.stats.note_batch(batch.len());
-        if let Err(send_err) = tx.send(batch) {
-            // Every worker is gone (the only way the batch channel closes
-            // while the batcher lives). The failed send hands the batch
-            // back; answer each request instead of dropping it on the floor,
-            // which would strand callers on `Canceled` and leave the
-            // `completed+failed+rejected == submitted` ledger unbalanced.
-            let batch = send_err.0;
-            shared.stats.note_failed(batch.len());
-            for r in batch {
-                let _ = r
-                    .resp
-                    .send(Err(ServeError::Internal("worker pool exited".into())));
-            }
-            break;
-        }
-    }
-    // Unreachable unless the worker pool died with a batch seeded: answer
-    // rather than drop it, upholding the one-response-per-request invariant.
-    if let Some(r) = pending.take() {
-        let _ = r
-            .resp
-            .send(Err(ServeError::Internal("worker pool exited".into())));
-        shared.stats.note_failed(1);
+        return Some(batch);
     }
 }
 
@@ -550,9 +517,10 @@ fn expire(shared: &Shared, r: Request) {
     let _ = r.resp.send(Err(ServeError::DeadlineExceeded));
 }
 
-/// Evaluates batches until the batch queue closes.
+/// Seals and evaluates batches until the intake is closed and drained. The
+/// intake lock is held only while sealing, so peers evaluate meanwhile.
 ///
-/// With `use_plans` set, workers evaluate through the pool-shared
+/// Workers evaluate through the pool-shared
 /// [`PlanCache`]: a packed batch shape compiles at most once per *server*
 /// (the first worker to see it compiles under the cache lock; peers block
 /// briefly, then reuse the `Arc`'d plan), and each worker keeps a private
@@ -563,9 +531,10 @@ fn expire(shared: &Shared, r: Request) {
 /// in [`Model::compile_plan`], so the fallback is invisible to callers.
 fn worker_loop(
     engine: &(Box<dyn Model + Send + Sync>, ParamStore),
-    rx: &Mutex<Receiver<Vec<Request>>>,
+    intake: &Mutex<Intake>,
+    max_batch: usize,
+    max_wait: Duration,
     shared: &Shared,
-    use_plans: bool,
     plan_cache: &PlanCache,
     chaos: Option<Arc<Chaos>>,
 ) {
@@ -574,32 +543,11 @@ fn worker_loop(
     let mut plans: HashMap<Vec<usize>, Option<Arc<CompiledPlan>>> = HashMap::new();
     let mut arena = PlanArena::new();
     loop {
-        // Hold the lock only for the dequeue so workers drain in parallel.
-        let popped = {
-            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-            match guard.recv() {
-                Ok(b) => b,
-                Err(_) => break,
-            }
+        let sealed = {
+            let mut guard = intake.lock().unwrap_or_else(|p| p.into_inner());
+            seal_batch(&mut guard, max_batch, max_wait, shared)
         };
-        // Last expiry check before spending model time: members whose
-        // deadline passed while the batch sat in the dispatch queue are
-        // shed here, and a batch with no live member left skips evaluation
-        // entirely. The split cannot perturb bit-identity for the
-        // survivors — per-sample outputs are independent of batch
-        // composition by the runtime's core contract.
-        let now = Instant::now();
-        let mut batch = Vec::with_capacity(popped.len());
-        for r in popped {
-            if r.expired(now) {
-                expire(shared, r);
-            } else {
-                batch.push(r);
-            }
-        }
-        if batch.is_empty() {
-            continue;
-        }
+        let Some(batch) = sealed else { break };
         let xs: Vec<Tensor> = batch.iter().map(|r| r.x.clone()).collect();
         let t0 = Instant::now();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -614,7 +562,7 @@ fn worker_loop(
                     panic!("chaos: injected worker panic");
                 }
             }
-            if use_plans && xs.iter().all(|x| x.ndim() >= 1 && x.shape()[0] == 1) {
+            if xs.iter().all(|x| x.ndim() >= 1 && x.shape()[0] == 1) {
                 // Pack exactly like `predict_batch` so shapes (and answers)
                 // are byte-for-byte the same on both paths.
                 let packed = Tensor::concat(&xs.iter().collect::<Vec<_>>(), 0);

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Internal live counters shared by the intake, batcher, and workers.
+/// Internal live counters shared by the intake and the workers.
 ///
 /// Counters are plain relaxed atomics: they order nothing, they only count.
 /// Latencies are appended under a mutex; the hot path holds it for one push.
@@ -140,10 +140,10 @@ pub struct ServeStats {
     /// Requests shed unevaluated because their deadline passed
     /// ([`crate::ServeError::DeadlineExceeded`]).
     pub expired: u64,
-    /// Micro-batches dispatched to workers.
+    /// Micro-batches sealed by workers.
     pub batches: u64,
     /// Micro-batches evaluated through a compiled inference plan (the rest
-    /// ran the tape fallback; zero when plans are disabled).
+    /// ran the tape fallback; zero when no batch shape compiles).
     pub plan_batches: u64,
     /// Mean requests per dispatched batch.
     pub mean_batch: f64,

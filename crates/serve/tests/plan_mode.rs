@@ -1,14 +1,12 @@
-//! Compiled-plan execution knobs: by default the workers serve single-sample
-//! traffic through a [`CompiledPlan`]; `ServeConfig::use_plans = false` or
-//! `MSD_PLAN=off` falls back to the tape. Either way the responses must be
-//! bit-identical to sequential `Model::predict` — the knob may only move the
-//! `plan_batches` counter.
-//!
-//! One `#[test]` on purpose: `MSD_PLAN` is process-wide, so the three server
-//! configurations must run sequentially.
+//! Compiled-plan execution: the workers serve single-sample traffic through
+//! a [`CompiledPlan`], and a model whose compile fails falls back to the
+//! tape. Either way the responses must be bit-identical to sequential
+//! `Model::predict` — the path taken may only move the `plan_batches`
+//! counter.
 
 use std::time::Duration;
 
+use msd_autograd::{CompiledPlan, PlanError};
 use msd_nn::{Ctx, Linear, Model, ModelOutput, ParamStore, Task};
 use msd_serve::loadgen::sequential_baseline;
 use msd_serve::{ServeConfig, ServeStats, Server};
@@ -51,6 +49,25 @@ impl Model for Affine {
     }
 }
 
+/// [`Affine`] whose plan compile always fails, so every batch takes the
+/// per-shape tape fallback.
+struct Uncompilable(Affine);
+
+impl Model for Uncompilable {
+    fn name(&self) -> &str {
+        "uncompilable"
+    }
+    fn task(&self) -> &Task {
+        self.0.task()
+    }
+    fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
+        self.0.forward(ctx, x)
+    }
+    fn compile_plan(&self, _: &ParamStore, _: &[usize]) -> Result<CompiledPlan, PlanError> {
+        Err(PlanError::UnsupportedOp("uncompilable"))
+    }
+}
+
 fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
@@ -58,22 +75,23 @@ fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
-/// Serve `inputs` through a fresh server, assert bit-identity against
-/// `reference`, and return the final stats snapshot.
-fn serve_and_check(use_plans: bool, inputs: &[Tensor], reference: &[Tensor], what: &str) -> ServeStats {
+/// Serve `inputs` through a fresh server (an [`Uncompilable`] model when
+/// `compiles` is false), assert bit-identity against `reference`, and
+/// return the final stats snapshot.
+fn serve_and_check(compiles: bool, inputs: &[Tensor], reference: &[Tensor], what: &str) -> ServeStats {
     let mut store = ParamStore::new();
     let model = Affine::new(&mut store, 2, 6);
-    let server = Server::start(
-        model,
-        store,
-        ServeConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(500),
-            workers: 2,
-            use_plans,
-            ..ServeConfig::default()
-        },
-    )
+    let cfg = ServeConfig {
+        max_batch: 4,
+        max_wait: Duration::from_micros(500),
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = if compiles {
+        Server::start(model, store, cfg)
+    } else {
+        Server::start(Uncompilable(model), store, cfg)
+    }
     .unwrap();
     let pending: Vec<_> = inputs
         .iter()
@@ -91,9 +109,6 @@ fn serve_and_check(use_plans: bool, inputs: &[Tensor], reference: &[Tensor], wha
 
 #[test]
 fn plan_mode_knobs_only_move_the_plan_batches_counter() {
-    let saved = std::env::var("MSD_PLAN").ok();
-    std::env::remove_var("MSD_PLAN");
-
     let mut store = ParamStore::new();
     let model = Affine::new(&mut store, 2, 6);
     let inputs: Vec<Tensor> = (0..48)
@@ -113,17 +128,7 @@ fn plan_mode_knobs_only_move_the_plan_batches_counter() {
     );
     assert!(stats.plan_batches > 0);
 
-    // The config knob alone forces the tape fallback.
-    let stats = serve_and_check(false, &inputs, &reference, "knob-off");
-    assert_eq!(stats.plan_batches, 0, "use_plans=false must never plan");
-
-    // MSD_PLAN=off overrides a plans-enabled config.
-    std::env::set_var("MSD_PLAN", "off");
-    let stats = serve_and_check(true, &inputs, &reference, "env-off");
-    assert_eq!(stats.plan_batches, 0, "MSD_PLAN=off must never plan");
-
-    match saved {
-        Some(v) => std::env::set_var("MSD_PLAN", v),
-        None => std::env::remove_var("MSD_PLAN"),
-    }
+    // A failed compile serves every batch through the tape fallback.
+    let stats = serve_and_check(false, &inputs, &reference, "compile-fails");
+    assert_eq!(stats.plan_batches, 0, "a failed compile must never plan");
 }

@@ -5,6 +5,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use msd_autograd::{CompiledPlan, PlanError};
 use msd_nn::{Ctx, Linear, Model, ModelOutput, ParamStore, Task};
 use msd_serve::loadgen::{run_open_loop, sequential_baseline, LoadSpec};
 use msd_serve::{Chaos, FaultPlan, ServeConfig, ServeError, Server};
@@ -69,11 +70,17 @@ impl Model for Tripwire {
         assert!(x.data()[0] != POISON, "tripwire: poisoned sample");
         self.0.forward(ctx, x)
     }
+    /// A compiled plan replays kernels without re-entering `forward`, so the
+    /// data-dependent panic would never fire; refusing to compile keeps every
+    /// batch on the tape path, whose panic containment these tests exercise.
+    fn compile_plan(&self, _: &ParamStore, _: &[usize]) -> Result<CompiledPlan, PlanError> {
+        Err(PlanError::UnsupportedOp("tripwire"))
+    }
 }
 
 /// A model that parks every forward call until the test opens the gate —
-/// used to hold the sole worker (and therefore the batch channel) busy while
-/// the batcher is forced to seed from an already-aged parked request.
+/// used to hold the sole worker busy while requests age in the intake, so
+/// its next batch is sealed from an already-aged parked request.
 struct Gated {
     inner: Affine,
     gate: Arc<(Mutex<bool>, Condvar)>,
@@ -95,6 +102,12 @@ impl Model for Gated {
             .wait_timeout_while(open, Duration::from_secs(5), |o| !*o)
             .unwrap();
         self.inner.forward(ctx, x)
+    }
+    /// Compiling would trace `forward` (and wait on the gate) at compile
+    /// time, then replay kernels that never consult it; refusing keeps the
+    /// gate on the hot path.
+    fn compile_plan(&self, _: &ParamStore, _: &[usize]) -> Result<CompiledPlan, PlanError> {
+        Err(PlanError::UnsupportedOp("gated"))
     }
 }
 
@@ -119,7 +132,7 @@ fn served_responses_are_bit_identical_to_sequential_predict() {
 
     // Sweep batching regimes: no coalescing, tiny batches, large batches
     // with a generous wait (the whole backlog packs together). Bit-identity
-    // must hold for every composition the batcher can produce.
+    // must hold for every composition the workers can seal.
     for (max_batch, max_wait_us) in [(1, 0u64), (3, 2_000), (32, 20_000)] {
         let mut store2 = ParamStore::new();
         let model2 = Affine::new(&mut store2, 2, 6);
@@ -201,10 +214,6 @@ fn worker_panic_fails_only_that_batch_and_serving_continues() {
             max_batch: 1, // isolate the poisoned sample in its own batch
             max_wait: Duration::ZERO,
             workers: 2,
-            // A compiled plan replays kernels without re-entering `forward`,
-            // so Tripwire's data-dependent panic would never fire; this test
-            // is specifically about tape-path panic containment.
-            use_plans: false,
             ..ServeConfig::default()
         },
     )
@@ -248,7 +257,6 @@ fn worker_panic_during_shutdown_keeps_counters_balanced() {
                 max_wait: Duration::ZERO,
                 queue_cap: 64,
                 workers: 2,
-                use_plans: false, // Tripwire panics live in `forward`, not the plan
                 ..ServeConfig::default()
             },
         )
@@ -291,10 +299,10 @@ fn worker_panic_during_shutdown_keeps_counters_balanced() {
 
 #[test]
 fn shape_change_seed_keeps_its_admission_deadline() {
-    // Regression: the batcher used to re-anchor the coalescing window at the
+    // Regression: batching used to re-anchor the coalescing window at the
     // moment it *popped* a seed rather than at the seed's admission. A
-    // shape-change request parked in `pending` while the batcher blocked on a
-    // full batch channel then waited up to ~2× max_wait end to end. Rebuild
+    // shape-change request parked while the pipeline was stalled behind a
+    // busy worker then waited up to ~2× max_wait end to end. Rebuild
     // that stall with a gated model and assert the parked request's latency
     // stays near 1× max_wait.
     let max_wait = Duration::from_millis(600);
@@ -312,15 +320,15 @@ fn shape_change_seed_keeps_its_admission_deadline() {
             max_wait,
             workers: 1,
             queue_cap: 64,
-            use_plans: false, // keep `forward` (and the gate) on the hot path
             ..ServeConfig::default()
         },
     )
     .unwrap();
 
-    // Batch 1 fills and reaches the (gated) worker; batch 2 fills the 1-deep
-    // batch channel; G5 seeds batch 3, which the shape-change arrival B1
-    // closes — leaving the batcher blocked in `tx.send` with B1 parked.
+    // Batch 1 fills and reaches the (gated) sole worker; G3..G5 and the
+    // shape-change arrival B1 age in the intake behind it. Once the gate
+    // opens, G3+G4 seal as batch 2 and G5 seeds batch 3, which B1 closes —
+    // B1 is parked to seed batch 4 with its window long spent.
     let _g1 = server.submit(sample(2, 6, 1)).unwrap();
     let _g2 = server.submit(sample(2, 6, 2)).unwrap();
     std::thread::sleep(Duration::from_millis(30));
@@ -330,7 +338,7 @@ fn shape_change_seed_keeps_its_admission_deadline() {
     let _g5 = server.submit(sample(2, 6, 5)).unwrap();
     std::thread::sleep(Duration::from_millis(60));
     let submitted_b = Instant::now();
-    let b1 = server.submit(sample(1, 12, 6)).unwrap(); // parks as `pending`
+    let b1 = server.submit(sample(1, 12, 6)).unwrap(); // parks after G5
 
     // Hold the pipeline stalled past B1's whole wait budget, then release.
     std::thread::sleep(Duration::from_millis(700));
@@ -342,7 +350,7 @@ fn shape_change_seed_keeps_its_admission_deadline() {
     b1.wait().expect("parked request completes");
     let latency = submitted_b.elapsed();
     // Correct admission anchoring: B1's window expired while it was parked,
-    // so its batch closes as soon as the batcher unblocks (~700 ms). The old
+    // so its batch closes as soon as the worker frees up (~700 ms). The old
     // re-anchoring granted a fresh window at pop time (~1300 ms). The
     // threshold splits the gap with slack for slow CI on both sides.
     assert!(
@@ -355,8 +363,8 @@ fn shape_change_seed_keeps_its_admission_deadline() {
 #[test]
 fn expired_requests_are_shed_with_a_typed_deadline_error() {
     // A gated sole worker wedges the pipeline; requests submitted with an
-    // already-short deadline must come back `DeadlineExceeded` from the
-    // batcher's shed path — typed, counted, and without waiting for the
+    // already-expired deadline must come back `DeadlineExceeded` from the
+    // admission shed path — typed, counted, and without waiting for the
     // worker — while the healthy request completes once the gate opens.
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let mut store = ParamStore::new();
@@ -371,7 +379,6 @@ fn expired_requests_are_shed_with_a_typed_deadline_error() {
             max_batch: 1,
             max_wait: Duration::ZERO,
             workers: 1,
-            use_plans: false, // keep the gate on the hot path
             ..ServeConfig::default()
         },
     )
@@ -425,7 +432,6 @@ fn wait_timeout_reports_a_stalled_worker_without_consuming_the_answer() {
             max_batch: 1,
             max_wait: Duration::ZERO,
             workers: 1,
-            use_plans: false,
             ..ServeConfig::default()
         },
     )
@@ -525,11 +531,61 @@ fn shutdown_drains_every_in_flight_request() {
 }
 
 #[test]
+fn shutdown_right_after_a_shape_change_answers_the_parked_request() {
+    // The sole worker seals [A1, A2], parks the shape-change arrival B to
+    // seed its next batch, and is still evaluating (gated) when shutdown
+    // drops the intake. B must still be sealed and answered — never
+    // dropped as `Canceled` — and the ledger must balance.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut store = ParamStore::new();
+    let model = Gated {
+        inner: Affine::new(&mut store, 2, 6),
+        gate: gate.clone(),
+    };
+    let mut ref_store = ParamStore::new();
+    let reference = Affine::new(&mut ref_store, 2, 6);
+    let server = Server::start(
+        model,
+        store,
+        ServeConfig {
+            max_batch: 4,
+            max_wait: Duration::from_secs(1),
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let a: Vec<_> = (0..2)
+        .map(|i| server.submit(sample(2, 6, i)).unwrap())
+        .collect();
+    let xb = sample(1, 12, 9);
+    let b = server.submit(xb.clone()).unwrap();
+    let opener = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    });
+    let stats = server.shutdown();
+    opener.join().unwrap();
+    for p in a {
+        p.wait().expect("same-shape request completes");
+    }
+    match b.wait() {
+        Ok(y) => assert_bits_equal(&y, &reference.predict(&ref_store, &xb), "parked request"),
+        Err(e) => panic!("parked request must be answered, got {e:?}"),
+    }
+    assert_eq!(stats.completed, 3, "{stats:?}");
+    assert_eq!(stats.batches, 2, "the shape change splits the batch");
+    assert!(stats.ledger_balanced(), "{stats:?}");
+}
+
+#[test]
 fn smoke_1k_mixed_shape_requests_zero_lost_zero_corrupted() {
     let mut store = ParamStore::new();
     let model = Affine::new(&mut store, 2, 6);
     // Two request shapes with equal flattened length: same model, but the
-    // batcher must never pack them together.
+    // workers must never pack them together.
     let inputs: Vec<Tensor> = (0..1000)
         .map(|i| {
             if i % 3 == 0 {
@@ -554,7 +610,6 @@ fn smoke_1k_mixed_shape_requests_zero_lost_zero_corrupted() {
             queue_cap: 2048,
             workers: 4,
             events_path: Some(events.clone()),
-            use_plans: true,
             ..ServeConfig::default()
         },
     )

@@ -19,23 +19,6 @@ pub fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Decomposes a linear row-major index into per-axis coordinates.
-#[allow(dead_code)]
-pub(crate) fn unravel(mut idx: usize, shape: &[usize], out: &mut [usize]) {
-    debug_assert_eq!(shape.len(), out.len());
-    for i in (0..shape.len()).rev() {
-        out[i] = idx % shape[i];
-        idx /= shape[i];
-    }
-}
-
-/// Recomposes per-axis coordinates into a linear index given `strides`.
-#[inline]
-#[allow(dead_code)]
-pub(crate) fn ravel(coords: &[usize], strides: &[usize]) -> usize {
-    coords.iter().zip(strides).map(|(c, s)| c * s).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,24 +35,5 @@ mod tests {
         assert_eq!(numel(&[2, 3, 4]), 24);
         assert_eq!(numel(&[]), 1);
         assert_eq!(numel(&[7, 0]), 0);
-    }
-
-    #[test]
-    fn unravel_ravel_round_trip() {
-        let shape = [2usize, 3, 4];
-        let strides = strides_for(&shape);
-        let mut coords = [0usize; 3];
-        for idx in 0..numel(&shape) {
-            unravel(idx, &shape, &mut coords);
-            assert_eq!(ravel(&coords, &strides), idx);
-        }
-    }
-
-    #[test]
-    fn unravel_known_values() {
-        let mut coords = [0usize; 3];
-        unravel(17, &[2, 3, 4], &mut coords);
-        // 17 = 1*12 + 1*4 + 1
-        assert_eq!(coords, [1, 1, 1]);
     }
 }

@@ -185,19 +185,34 @@ echo "plan bench OK: rows in target/BENCH_kernels.json"
 # predict for the version each response's header names; it exits non-zero on
 # any lost request, any byte mismatch, or any status outside {200, 429}.
 # Appends RPS-vs-latency rows to target/BENCH_gateway.json (CI artifact).
-rm -f target/gw.addr target/BENCH_gateway.json
-cargo run --release --offline -p msd-harness --bin msd-gateway -- \
-  --demo --addr-file target/gw.addr --replicas 2 --run-secs 120 &
-GW_PID=$!
-trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 200); do [ -f target/gw.addr ] && break; sleep 0.1; done
-test -f target/gw.addr || { echo "gateway never published its address" >&2; exit 1; }
-cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
-  --target "$(cat target/gw.addr)" --requests 500 --connections 4 \
-  --rates 800,1600 --swap-after-ms 150
-kill "$GW_PID" 2>/dev/null || true
-wait "$GW_PID" 2>/dev/null || true
-trap - EXIT
+#
+# gateway_drill LABEL ADDR_FILE CHAOS_LOG [GATEWAY_ARGS...] -- [LOADGEN_ARGS...]
+# runs one such drill: start msd-gateway with the demo fleet, wait up to
+# 20 s for it to publish its address, run the load generator against it,
+# then stop the gateway. A non-empty CHAOS_LOG reaches the gateway alone as
+# MSD_CHAOS_LOG; an MSD_CHAOS set on the call reaches both processes.
+gateway_drill() {
+  local label=$1 addr=$2 chaos_log=$3 gw_args=()
+  shift 3
+  while [ "$1" != "--" ]; do gw_args+=("$1"); shift; done
+  shift
+  rm -f "$addr"
+  env ${chaos_log:+"MSD_CHAOS_LOG=$chaos_log"} \
+    cargo run --release --offline -p msd-harness --bin msd-gateway -- \
+    --demo "${gw_args[@]}" --addr-file "$addr" --replicas 2 --run-secs 120 &
+  GW_PID=$!
+  trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
+  for _ in $(seq 1 200); do [ -f "$addr" ] && break; sleep 0.1; done
+  test -f "$addr" || { echo "$label never published its address" >&2; exit 1; }
+  cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
+    --target "$(cat "$addr")" "$@"
+  kill "$GW_PID" 2>/dev/null || true
+  wait "$GW_PID" 2>/dev/null || true
+  trap - EXIT
+}
+rm -f target/BENCH_gateway.json
+gateway_drill gateway target/gw.addr "" -- \
+  --requests 500 --connections 4 --rates 800,1600 --swap-after-ms 150
 test -s target/BENCH_gateway.json || { echo "gateway smoke wrote no report" >&2; exit 1; }
 if grep -qE '"lost":[1-9]' target/BENCH_gateway.json; then
   echo "gateway smoke lost requests" >&2; exit 1
@@ -210,19 +225,8 @@ echo "gateway smoke OK: report in target/BENCH_gateway.json"
 # wrong bytes) and byte-compares each response against the int8 lowered-plan
 # reference it computes in its own process; the mid-run hot-swap posts a v2
 # int8 artifact with the tier declared in the request header.
-rm -f target/gw-int8.addr
-cargo run --release --offline -p msd-harness --bin msd-gateway -- \
-  --demo --tier int8 --addr-file target/gw-int8.addr --replicas 2 --run-secs 120 &
-GW_PID=$!
-trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 200); do [ -f target/gw-int8.addr ] && break; sleep 0.1; done
-test -f target/gw-int8.addr || { echo "int8 gateway never published its address" >&2; exit 1; }
-cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
-  --target "$(cat target/gw-int8.addr)" --requests 300 --connections 4 \
-  --expect-tier int8 --swap-after-ms 150
-kill "$GW_PID" 2>/dev/null || true
-wait "$GW_PID" 2>/dev/null || true
-trap - EXIT
+gateway_drill "int8 gateway" target/gw-int8.addr "" --tier int8 -- \
+  --requests 300 --connections 4 --expect-tier int8 --swap-after-ms 150
 echo "int8 gateway smoke OK: every response tier-tagged and byte-checked"
 
 # Chaos smoke: the same real-gateway drill under a seeded deterministic
@@ -236,22 +240,11 @@ echo "int8 gateway smoke OK: every response tier-tagged and byte-checked"
 # appended to target/chaos-events.jsonl (CI artifact); rows written by this
 # sweep carry the fault plan in their "fault_plan" column so a chaos run
 # can never be compared against a clean baseline by accident.
-rm -f target/gw-chaos.addr target/chaos-events.jsonl
+rm -f target/chaos-events.jsonl
 MSD_CHAOS="seed:42,worker_panic:0.02,worker_stall:0.02,worker_stall_ms:40,conn_drop:0.02" \
-MSD_CHAOS_LOG=target/chaos-events.jsonl \
-cargo run --release --offline -p msd-harness --bin msd-gateway -- \
-  --demo --addr-file target/gw-chaos.addr --replicas 2 --run-secs 120 &
-GW_PID=$!
-trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 200); do [ -f target/gw-chaos.addr ] && break; sleep 0.1; done
-test -f target/gw-chaos.addr || { echo "chaos gateway never published its address" >&2; exit 1; }
-MSD_CHAOS="seed:42,worker_panic:0.02,worker_stall:0.02,worker_stall_ms:40,conn_drop:0.02" \
-cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
-  --target "$(cat target/gw-chaos.addr)" --requests 500 --connections 4 \
+gateway_drill "chaos gateway" target/gw-chaos.addr target/chaos-events.jsonl -- \
+  --requests 500 --connections 4 \
   --retry-budget 3 --deadline-ms 2000 --tolerate-faults --check-ledger
-kill "$GW_PID" 2>/dev/null || true
-wait "$GW_PID" 2>/dev/null || true
-trap - EXIT
 test -s target/chaos-events.jsonl || {
   echo "chaos smoke fired no faults (plan not armed?)" >&2; exit 1;
 }
