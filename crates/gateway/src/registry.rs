@@ -2,7 +2,7 @@
 //! zero-drop hot-swap.
 //!
 //! Each registered model is a *factory* (architecture + deterministic init)
-//! plus an optional parameter blob in [`msd_nn::store`] format. A published
+//! plus an optional parameter artifact read by [`ArtifactReader`]. A published
 //! version is an [`Arc`]ed set of replica [`Server`]s; the predict path
 //! clones the `Arc` out of a short-held lock, so a hot-swap and in-flight
 //! traffic never contend for more than a pointer exchange.
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use msd_nn::{DynModel, ParamStore, PrecisionTier};
+use msd_nn::{ArtifactReader, DynModel, ParamStore, PrecisionTier};
 use msd_serve::{json_escape, ServeConfig, ServeError, ServeStats, Server};
 use msd_tensor::Tensor;
 
@@ -221,7 +221,7 @@ impl Registry {
                 // commits all-or-nothing; a bad blob aborts the whole build.
                 // Decoding also installs the artifact's precision tier (and
                 // quant tables) into the store, which serving lowers onto.
-                msd_nn::store::decode(&mut store, bytes)?;
+                ArtifactReader::decode(bytes)?.load_into(&mut store)?;
             }
             if i == 0 {
                 // Every replica decodes the same bytes, so the first store's
@@ -252,7 +252,7 @@ impl Registry {
 
     /// Registers `name` at version 1. `params` optionally overrides the
     /// factory's initial parameters with a stored blob (any format
-    /// [`msd_nn::store::decode`] accepts).
+    /// [`ArtifactReader::decode`] accepts).
     ///
     /// Fails with `AlreadyExists` if the name is taken — use
     /// [`Registry::swap`] to replace a live model.

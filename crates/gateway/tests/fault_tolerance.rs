@@ -355,6 +355,37 @@ fn deadline_and_brownout_surface_as_typed_http_statuses_with_headers() {
 }
 
 #[test]
+fn default_deadline_applies_to_requests_without_a_deadline_header() {
+    let cfg = GatewayConfig {
+        serve: serve_cfg(),
+        replicas: 1,
+        default_deadline: Some(Duration::from_millis(60)),
+        ..GatewayConfig::default()
+    };
+    let gw = Gateway::bind("127.0.0.1:0", cfg).unwrap();
+    gw.registry()
+        .register(
+            "m",
+            factory_with_sick_replica0(Arc::new(AtomicBool::new(true)), Duration::from_millis(400)),
+            None,
+        )
+        .unwrap();
+    let body = msd_gateway::wire::encode_tensor(&sample(1));
+    let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
+    let t0 = Instant::now();
+    let resp = client
+        .request("POST", "/v1/models/m/predict", &[], &body)
+        .unwrap();
+    assert_eq!(resp.status, 504, "the configured default deadline must apply");
+    assert!(
+        t0.elapsed() < Duration::from_millis(400),
+        "answered after {:?}: waited out the stall instead of the deadline",
+        t0.elapsed()
+    );
+    gw.shutdown();
+}
+
+#[test]
 fn degraded_fleet_answers_everything_typed_with_a_bounded_success_tail() {
     // The degradation gate: one of two replicas 100% stalled. Every request
     // must resolve to 200/429/504 (zero lost, zero hangs) and the p99 of

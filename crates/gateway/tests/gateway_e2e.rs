@@ -98,7 +98,7 @@ fn slow_factory(seed: u64, delay: Duration) -> ModelFactory {
 fn params_blob(seed: u64) -> Vec<u8> {
     let mut store = ParamStore::new();
     let _ = Affine::new(&mut store, seed);
-    msd_nn::store::encode(&store)
+    msd_nn::ArtifactWriter::new(msd_nn::PrecisionTier::F32).encode(&store).unwrap()
 }
 
 /// Sequential single-sample reference for the Affine version at `seed`.

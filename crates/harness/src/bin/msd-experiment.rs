@@ -243,10 +243,9 @@ fn run_ckpt_smoke(save_params: Option<&str>) {
         report.train_losses.last().copied().unwrap_or(f32::NAN),
     );
     if let Some(path) = save_params {
-        let mut file = std::io::BufWriter::new(
-            std::fs::File::create(path).expect("cannot create --save-params file"),
-        );
-        msd_nn::store::save(&store, &mut file).expect("cannot save parameters");
+        msd_nn::ArtifactWriter::new(msd_nn::PrecisionTier::F32)
+            .save_file(&store, path)
+            .expect("cannot save --save-params file");
     }
 }
 

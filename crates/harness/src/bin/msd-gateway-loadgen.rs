@@ -48,7 +48,8 @@ fn usage() -> ! {
            --deadline-ms <n>     send X-Msd-Deadline-Ms on every request\n\
            --tolerate-faults     accept typed fault statuses 500/503/504 after retries;\n\
                                  lost requests and byte mismatches stay fatal\n\
-           --check-ledger        GET /stats after the sweep and fail unless every\n\
+           --check-ledger        GET /stats after the sweep (a transport error is\n\
+                                 retried up to --retry-budget times) and fail unless every\n\
                                  model and replica balances completed+failed+\n\
                                  rejected+expired == submitted\n\
            --swap-after-ms <n>   hot-swap {first} to v2 this long into the first rate\n\
@@ -82,11 +83,22 @@ fn json_u64s(doc: &str, key: &str) -> Vec<u64> {
 /// Fetches /stats and verifies the request ledger of every object
 /// (model aggregate and individual replica) balances. Returns the number
 /// of unbalanced objects, printing one line per offender.
-fn check_ledger(target: &str) -> usize {
-    let mut client = Client::connect(target).expect("connect for /stats");
-    let resp = client
-        .request("GET", "/stats", &[], &[])
-        .expect("GET /stats");
+///
+/// A transport error (an armed `conn_drop` can cut this very exchange) is
+/// retried on a fresh connection up to `retries` extra times; a non-200
+/// status or a malformed document still fails.
+fn check_ledger(target: &str, retries: u32) -> usize {
+    let mut attempt = 0;
+    let resp = loop {
+        match Client::connect(target).and_then(|mut c| c.request("GET", "/stats", &[], &[])) {
+            Ok(resp) => break resp,
+            Err(e) if attempt < retries => {
+                attempt += 1;
+                eprintln!("ledger check: GET /stats failed ({e}); retry {attempt} of {retries}");
+            }
+            Err(e) => panic!("GET /stats: {e}"),
+        }
+    };
     assert_eq!(resp.status, 200, "GET /stats returned {}", resp.status);
     let doc = String::from_utf8_lossy(&resp.body).into_owned();
     let submitted = json_u64s(&doc, "submitted");
@@ -342,7 +354,7 @@ fn main() {
             exit_code = 1;
         }
     }
-    if ledger && check_ledger(&target) > 0 {
+    if ledger && check_ledger(&target, retry_budget) > 0 {
         exit_code = 1;
     }
     std::process::exit(exit_code);

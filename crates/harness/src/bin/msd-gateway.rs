@@ -32,7 +32,8 @@ fn usage() -> ! {
            --queue-cap <n>     admission queue bound per replica (default 256)\n\
            --tier <t>          publish demo params at precision tier f32|f16|int8\n\
                                (default f32; int8 serves via lowered plans)\n\
-           --deadline-ms <n>   default per-request deadline; 0 = none (default 0)\n\
+           --deadline-ms <n>   deadline for requests without X-Msd-Deadline-Ms;\n\
+                               0 = none (default 0)\n\
            --run-secs <n>      exit after n seconds; 0 = run until killed (default 0)\n\
          \n\
          MSD_CHAOS=<spec> injects a deterministic fault plan (see msd-serve\n\
@@ -89,10 +90,10 @@ fn main() {
             queue_cap,
             workers,
             events_path: None,
-            default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             ..ServeConfig::default()
         },
         replicas,
+        default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         ..GatewayConfig::default()
     };
     // Surface an armed fault plan before serving a single request, so a CI

@@ -191,7 +191,7 @@ mod tests {
             );
             // The v2 blob decodes cleanly into the factory architecture.
             let (_, mut store) = m.build(m.seed_v1);
-            msd_nn::store::decode(&mut store, &m.params_v2()).unwrap();
+            ArtifactReader::decode(&m.params_v2()).unwrap().load_into(&mut store).unwrap();
         }
     }
 

@@ -54,7 +54,6 @@ mod heads;
 mod layer;
 mod model;
 mod patching;
-pub mod persist;
 mod residual_loss;
 pub mod summary;
 pub mod variants;
@@ -66,6 +65,5 @@ pub use layer::{MsdLayer, PatchMode};
 pub use model::MsdMixer;
 pub use msd_nn::{Model, ModelOutput, Target};
 pub use patching::{padded_len, patch, unpatch};
-pub use persist::{load_model, load_model_file, save_model, save_model_file};
 pub use residual_loss::residual_loss;
 pub use summary::{describe, summarize, ModuleSummary};

@@ -37,7 +37,7 @@
 //!
 //! * a raw `MSDCKPT1` stream (the original format) → f32 tier, version 1;
 //! * an `MSDCKPT2` container with a bare `"params"` section and no `"meta"`
-//!   (what `store::save` wrote before v3) → f32 tier, version 2.
+//!   (what the f32 writer produced before v3) → f32 tier, version 2.
 //!
 //! Reduced-precision artifacts always dequantize into f32 values on load; an
 //! int8 artifact additionally installs its [`QuantTensor`]s on the store so

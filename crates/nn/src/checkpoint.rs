@@ -30,7 +30,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Container magic. The trailing `2` is the format version; `MSDCKPT1` is
-/// the legacy weights-only stream in [`crate::serialize`].
+/// the legacy weights-only stream.
 pub const MAGIC: &[u8; 8] = b"MSDCKPT2";
 
 /// Longest accepted section name; names are short ASCII tags.

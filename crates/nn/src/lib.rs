@@ -30,7 +30,7 @@ mod schedule;
 mod task;
 pub mod artifact;
 pub mod checkpoint;
-pub mod serialize;
+mod serialize;
 pub mod store;
 
 pub use artifact::{ArtifactReader, ArtifactWriter, PrecisionTier};

@@ -1,12 +1,9 @@
 //! Legacy checkpoint serialisation: the raw `MSDCKPT1` parameter stream.
 //!
-//! Superseded twice over: first by [`crate::store`] (the `MSDCKPT2`
-//! container), now by the precision-aware [`crate::artifact`] API, whose f32
-//! tier still embeds exactly this stream as its payload section — and whose
-//! reader still loads every legacy raw file ever written. The deprecated
-//! `save`/`load` shims that used to live here are gone; use
-//! [`crate::artifact::ArtifactWriter`] / [`crate::artifact::ArtifactReader`]
-//! (or the thin `msd_nn::store` wrappers).
+//! Private to the crate: the precision-aware [`crate::artifact`] API is the
+//! only way to save and load parameters. Its f32 tier embeds exactly this
+//! stream as its payload section, and its reader still loads every legacy
+//! raw file ever written.
 //!
 //! Layout (little-endian):
 //!

@@ -20,17 +20,18 @@
 //!
 //! Every fired fault is recorded in an in-memory schedule log (for
 //! determinism assertions) and, when `MSD_CHAOS_LOG` names a path, appended
-//! as JSONL (`{"event":"chaos","point":"worker_panic","n":17}`) for CI
+//! as a [`ServeEvent::Chaos`] JSONL line
+//! (`{"event":"chaos","point":"worker_panic","n":17}`) for CI
 //! artifacts. With no plan configured every probe is a no-op on the hot
 //! path: one `Option` check.
 
-use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+use crate::events::EventSink;
+use crate::ServeEvent;
 
 /// A named injection point in the serving stack.
 ///
@@ -239,7 +240,7 @@ pub struct Chaos {
     plan: FaultPlan,
     arrivals: [AtomicU64; 4],
     fired: Mutex<Vec<(FaultPoint, u64)>>,
-    log: Option<Mutex<BufWriter<File>>>,
+    log: EventSink,
 }
 
 impl std::fmt::Debug for Chaos {
@@ -255,18 +256,14 @@ impl Chaos {
             plan,
             arrivals: Default::default(),
             fired: Mutex::new(Vec::new()),
-            log: None,
+            log: EventSink::disabled(),
         }
     }
 
     /// An injector that also appends every fired fault to `path` as JSONL.
     pub fn with_log(plan: FaultPlan, path: impl AsRef<Path>) -> std::io::Result<Chaos> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
         Ok(Chaos {
-            log: Some(Mutex::new(BufWriter::new(file))),
+            log: EventSink::to_path(path)?,
             ..Chaos::new(plan)
         })
     }
@@ -312,17 +309,7 @@ impl Chaos {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .push((point, n));
-            if let Some(out) = &self.log {
-                let mut line = String::with_capacity(64);
-                let _ = write!(
-                    line,
-                    "{{\"event\":\"chaos\",\"point\":\"{}\",\"n\":{n}}}",
-                    point.name()
-                );
-                let mut w = out.lock().unwrap_or_else(|p| p.into_inner());
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-            }
+            self.log.emit(&ServeEvent::Chaos { point, n });
         }
         (n, fired)
     }

@@ -11,7 +11,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
-use crate::ServeStats;
+use crate::{FaultPoint, ServeStats};
 
 /// One structured event emitted by the serving runtime.
 #[derive(Clone, Debug)]
@@ -40,6 +40,13 @@ pub enum ServeEvent {
         /// Final statistics at shutdown.
         stats: ServeStats,
     },
+    /// A chaos fault fired (see [`crate::chaos`]).
+    Chaos {
+        /// The injection point that fired.
+        point: FaultPoint,
+        /// The point's arrival index the fault fired on.
+        n: u64,
+    },
 }
 
 impl ServeEvent {
@@ -51,6 +58,7 @@ impl ServeEvent {
             ServeEvent::Expired => "serve_expired",
             ServeEvent::WorkerPanic { .. } => "serve_panic",
             ServeEvent::Stop { .. } => "serve_stop",
+            ServeEvent::Chaos { .. } => "chaos",
         }
     }
 
@@ -71,6 +79,9 @@ impl ServeEvent {
                 // Splice the stats object's fields into this event object.
                 let body = stats.to_json();
                 let _ = write!(s, ",{}", &body[1..body.len() - 1]);
+            }
+            ServeEvent::Chaos { point, n } => {
+                let _ = write!(s, ",\"point\":\"{}\",\"n\":{n}", point.name());
             }
         }
         s.push('}');
@@ -172,6 +183,13 @@ mod tests {
                 "serve_panic",
             ),
             (ServeEvent::Stop { stats }, "serve_stop"),
+            (
+                ServeEvent::Chaos {
+                    point: FaultPoint::ConnDrop,
+                    n: 523,
+                },
+                "chaos",
+            ),
         ];
         for (event, kind) in cases {
             let json = event.to_json();
@@ -179,6 +197,12 @@ mod tests {
             assert!(json.ends_with('}'), "{json}");
             assert_eq!(json.matches('{').count(), 1, "flat object: {json}");
         }
+        // The chaos log's line format predates this enum; keep it exact.
+        let chaos = ServeEvent::Chaos {
+            point: FaultPoint::ConnDrop,
+            n: 523,
+        };
+        assert_eq!(chaos.to_json(), r#"{"event":"chaos","point":"conn_drop","n":523}"#);
     }
 
     #[test]

@@ -88,11 +88,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Optional JSONL sink for [`ServeEvent`] telemetry.
     pub events_path: Option<PathBuf>,
-    /// Default per-request deadline applied at admission when the caller
-    /// does not pass one to [`Server::submit_with_deadline`]. `None` (the
-    /// default) means requests never expire — the pre-deadline behavior,
-    /// bit for bit.
-    pub default_deadline: Option<Duration>,
     /// Explicit fault injector for this server. `None` (the default) falls
     /// back to the process-global `MSD_CHAOS` plan ([`Chaos::from_env`]);
     /// tests inject two isolated instances of one plan to assert schedule
@@ -108,7 +103,6 @@ impl Default for ServeConfig {
             queue_cap: 256,
             workers: 4,
             events_path: None,
-            default_deadline: None,
             chaos: None,
         }
     }
@@ -227,7 +221,6 @@ pub struct Server {
     intake: Option<SyncSender<Request>>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
-    default_deadline: Option<Duration>,
 }
 
 impl Server {
@@ -293,7 +286,6 @@ impl Server {
             intake: Some(intake_tx),
             workers,
             shared,
-            default_deadline: cfg.default_deadline,
         })
     }
 
@@ -303,16 +295,14 @@ impl Server {
     ///
     /// Never blocks: a full queue is an immediate [`ServeError::Overloaded`].
     ///
-    /// The request carries [`ServeConfig::default_deadline`] (none by
-    /// default); use [`Server::submit_with_deadline`] for a caller-chosen
-    /// deadline.
+    /// The request never expires; use [`Server::submit_with_deadline`] for a
+    /// caller-chosen deadline.
     pub fn submit(&self, x: Tensor) -> Result<Pending, ServeError> {
-        let deadline = self.default_deadline.map(|d| Instant::now() + d);
-        self.submit_with_deadline(x, deadline)
+        self.submit_with_deadline(x, None)
     }
 
     /// [`Server::submit`] with an explicit absolute deadline (`None` never
-    /// expires, overriding any configured default).
+    /// expires).
     ///
     /// A request whose deadline passes before a worker evaluates it is shed
     /// — answered [`ServeError::DeadlineExceeded`] and counted in

@@ -4,7 +4,7 @@
 use msd_data::{long_term_datasets, LongRangeSpec, SlidingWindows, Split, StandardScaler};
 use msd_harness::{fit, AnyModel, ForecastSource, TrainConfig};
 use msd_mixer::{decompose, MsdMixer, MsdMixerConfig};
-use msd_nn::{store, ParamStore, Task};
+use msd_nn::{ArtifactReader, ArtifactWriter, ParamStore, PrecisionTier, Task};
 use msd_tensor::rng::Rng;
 
 fn spec() -> LongRangeSpec {
@@ -84,14 +84,14 @@ fn checkpoint_round_trip_preserves_decomposition() {
     let (mut store, mixer, x) = train_mixer(1.0);
     let before = decompose(&mixer, &store, &x);
     let mut buf = Vec::new();
-    store::save(&store, &mut buf).unwrap();
+    ArtifactWriter::new(PrecisionTier::F32).save(&store, &mut buf).unwrap();
     // Perturb all params, then restore.
     for i in 0..store.len() {
         let t = store.get_mut(i);
         let noise = msd_tensor::Tensor::full(t.shape(), 0.1);
         t.add_assign(&noise);
     }
-    store::load(&mut store, &mut buf.as_slice()).unwrap();
+    ArtifactReader::decode(&buf).unwrap().load_into(&mut store).unwrap();
     let after = decompose(&mixer, &store, &x);
     assert!(msd_tensor::allclose(&before.residual, &after.residual, 1e-5));
     for (a, b) in before.components.iter().zip(&after.components) {
