@@ -46,7 +46,11 @@ fn run(lambda: f32, alpha: f32, scale: msd_harness::Scale) -> (f32, f32, f32, f3
         &mut store,
         &train,
         None,
-        &TrainConfig::builder().epochs(scale.epochs()).lr(5e-3).build(),
+        &TrainConfig {
+            epochs: scale.epochs(),
+            lr: 5e-3,
+            ..TrainConfig::default()
+        },
     );
     let (mse, mae) = evaluate_forecast(&model, &store, &test, 32);
     let AnyModel::Mixer(mixer) = &model else { unreachable!() };

@@ -361,9 +361,6 @@ pub struct GatewayBenchRow {
     pub attempts: u64,
     /// Attempts beyond each request's first.
     pub retries: u64,
-    /// Hedged (duplicate speculative) attempts. The driver never hedges
-    /// today; the column exists so rows stay comparable if it ever does.
-    pub hedges: u64,
     /// The `MSD_CHAOS` fault plan active during the run (empty = none), so
     /// a regression diff never compares a chaos row against a clean one.
     pub fault_plan: String,
@@ -399,7 +396,6 @@ impl GatewayBenchRow {
             reanchors: outcome.reanchors,
             attempts: outcome.attempts_total,
             retries: outcome.retries_total,
-            hedges: 0,
             fault_plan: std::env::var("MSD_CHAOS").unwrap_or_default(),
         }
     }
@@ -413,7 +409,7 @@ impl GatewayBenchRow {
              \"offered_rps\":{:.1},\"achieved_rps\":{:.2},\"ok\":{},\"rejected\":{},\
              \"failed\":{},\"lost\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
              \"skew_mean_us\":{:.1},\"skew_max_us\":{},\"reanchors\":{},\
-             \"attempts\":{},\"retries\":{},\"hedges\":{},\"fault_plan\":\"{}\"}}",
+             \"attempts\":{},\"retries\":{},\"fault_plan\":\"{}\"}}",
             self.scenario,
             self.requests,
             self.connections,
@@ -431,7 +427,6 @@ impl GatewayBenchRow {
             self.reanchors,
             self.attempts,
             self.retries,
-            self.hedges,
             msd_serve::json_escape(&self.fault_plan)
         );
         s

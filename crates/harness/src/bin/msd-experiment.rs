@@ -1,6 +1,12 @@
 //! Command-line entry point for running any experiment family outside the
 //! bench harness.
 //!
+//! Each family builds its own `TrainConfig`s in code. The checkpoint flags
+//! (`--checkpoint-dir`, `--checkpoint-every`, `--resume`, `--kill-after`,
+//! `--save-params`) configure the single fit `ckpt-smoke` runs; every other
+//! family rejects them, since it runs many fits that must not share one
+//! checkpoint directory.
+//!
 //! ```sh
 //! cargo run --release -p msd-harness --bin msd-experiment -- long-term
 //! MSD_SCALE=smoke cargo run --release -p msd-harness --bin msd-experiment -- all
@@ -9,7 +15,7 @@
 use msd_harness::experiments::{
     ablation, anomaly, case_study, classification, imputation, long_term, short_term,
 };
-use msd_harness::Scale;
+use msd_harness::{Scale, TrainConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -19,13 +25,12 @@ fn usage() -> ! {
                    ckpt-smoke | plan-dump | all\n\
          options:\n\
            --telemetry <path>       write JSONL training telemetry (= MSD_TELEMETRY)\n\
-           --max-retries <n>        divergence retries before abort (= MSD_MAX_RETRIES)\n\
-           --lr-backoff <f>         lr multiplier per rollback (= MSD_LR_BACKOFF)\n\
-           --checkpoint-dir <dir>   durable crash-safe checkpoints (= MSD_CHECKPOINT_DIR)\n\
-           --checkpoint-every <n>   applied batches between checkpoints (= MSD_CHECKPOINT_EVERY)\n\
-           --resume                 resume from the newest valid checkpoint (= MSD_RESUME)\n\
-           --kill-after <n>         fault injection: die after n applied batches (= MSD_KILL_AFTER)\n\
-           --save-params <path>     (ckpt-smoke) save final parameters for diffing\n\
+         ckpt-smoke options (other families reject them):\n\
+           --checkpoint-dir <dir>   durable crash-safe checkpoints\n\
+           --checkpoint-every <n>   applied batches between checkpoints\n\
+           --resume                 resume from the newest valid checkpoint\n\
+           --kill-after <n>         fault injection: die after n applied batches\n\
+           --save-params <path>     save final parameters for diffing\n\
          scale via MSD_SCALE=smoke|fast|full (default fast);\n\
          results cached under target/msd-results/;\n\
          'smoke' trains a tiny model (with one injected NaN batch) to\n\
@@ -38,45 +43,49 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn main() {
-    use msd_harness::TrainConfig;
+/// Flags that only `ckpt-smoke` accepts.
+const CKPT_FLAGS: [&str; 5] = [
+    "--checkpoint-dir",
+    "--checkpoint-every",
+    "--resume",
+    "--kill-after",
+    "--save-params",
+];
 
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut family: Option<String> = None;
     let mut save_params: Option<String> = None;
-    // Flags parse into a typed TrainConfigBuilder; install_env then
-    // publishes the explicitly-set knobs as their documented MSD_* env
-    // variables so the experiment runners (which build their own configs
-    // through the builder's env-fallback layer) pick them up without
-    // plumbing.
-    let mut builder = TrainConfig::builder();
+    // The checkpoint flags parse straight into the config ckpt-smoke
+    // trains with.
+    let mut ckpt = TrainConfig {
+        epochs: 3,
+        batch_size: 16,
+        lr: 5e-3,
+        seed: 11,
+        ..TrainConfig::default()
+    };
+    let mut ckpt_only_flag = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        ckpt_only_flag |= CKPT_FLAGS.contains(&arg.as_str());
         match arg.as_str() {
             "--telemetry" => match it.next() {
                 // Telemetry is TrainMonitor config, not TrainConfig.
                 Some(v) => std::env::set_var("MSD_TELEMETRY", v),
                 None => usage(),
             },
-            "--max-retries" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => builder = builder.max_retries(v),
-                None => usage(),
-            },
-            "--lr-backoff" => match it.next().and_then(|v| v.parse::<f32>().ok()) {
-                Some(v) => builder = builder.lr_backoff(v),
-                None => usage(),
-            },
             "--checkpoint-dir" => match it.next() {
-                Some(v) => builder = builder.checkpoint_dir(Some(v.into())),
+                Some(v) => ckpt.checkpoint_dir = Some(v.into()),
                 None => usage(),
             },
             "--checkpoint-every" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => builder = builder.checkpoint_every(v),
+                Some(v) => ckpt.checkpoint_every = v,
                 None => usage(),
             },
-            "--resume" => builder = builder.resume(true),
+            "--resume" => ckpt.resume = true,
             "--kill-after" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => builder = builder.kill_after_batches(Some(v)),
+                Some(v) => ckpt.kill_after_batches = Some(v),
                 None => usage(),
             },
             "--save-params" => match it.next() {
@@ -87,8 +96,10 @@ fn main() {
             _ => usage(),
         }
     }
-    builder.install_env();
     let family = family.unwrap_or_else(|| usage());
+    if ckpt_only_flag && family != "ckpt-smoke" {
+        usage();
+    }
     let scale = Scale::from_env();
     eprintln!("running '{family}' at scale '{}'", scale.name());
     match family.as_str() {
@@ -100,7 +111,7 @@ fn main() {
         "ablation" => run_ablation(scale),
         "case-study" => run_case_study(scale),
         "smoke" => run_smoke(),
-        "ckpt-smoke" => run_ckpt_smoke(save_params.as_deref()),
+        "ckpt-smoke" => run_ckpt_smoke(&ckpt, save_params.as_deref()),
         "plan-dump" => run_plan_dump(),
         "all" => {
             run_long_term(scale);
@@ -121,7 +132,7 @@ fn main() {
 /// or `--telemetry`) demonstrates the full recovery path: non-finite
 /// detection, rollback, optimiser reset, lr backoff, and a finished run.
 fn run_smoke() {
-    use msd_harness::{fit, BatchSource, ModelSpec, TrainConfig};
+    use msd_harness::{fit, BatchSource, ModelSpec};
     use msd_nn::{ParamStore, Task};
     use msd_tensor::{rng::Rng, Tensor};
 
@@ -173,7 +184,12 @@ fn run_smoke() {
         &mut store,
         &src,
         None,
-        &TrainConfig::builder().epochs(3).batch_size(16).lr(5e-3).build(),
+        &TrainConfig {
+            epochs: 3,
+            batch_size: 16,
+            lr: 5e-3,
+            ..TrainConfig::default()
+        },
     );
     println!(
         "smoke,epochs={},skipped={},rollbacks={},aborted={},final_loss={:.5}",
@@ -195,13 +211,12 @@ fn run_smoke() {
 /// Deterministic kill-and-resume smoke: trains a tiny mixer forecaster on
 /// an *index-pure* sine source (batch content depends only on the sampled
 /// indices, never on call order, so a resumed process sees exactly the
-/// data an uninterrupted one would). Checkpointing, resume, and fault
-/// injection are all driven by the shared `--checkpoint-dir` /
-/// `--resume` / `--kill-after` flags; `--save-params` writes the final
+/// data an uninterrupted one would). `cfg` carries the checkpointing,
+/// resume, and fault-injection flags; `--save-params` writes the final
 /// parameters so the tier-1 gate can byte-compare runs.
-fn run_ckpt_smoke(save_params: Option<&str>) {
+fn run_ckpt_smoke(cfg: &TrainConfig, save_params: Option<&str>) {
     use msd_data::{SlidingWindows, Split};
-    use msd_harness::{fit, ForecastSource, ModelSpec, TrainConfig};
+    use msd_harness::{fit, ForecastSource, ModelSpec};
     use msd_mixer::variants::Variant;
     use msd_nn::{ParamStore, Task};
     use msd_tensor::{rng::Rng, Tensor};
@@ -222,18 +237,7 @@ fn run_ckpt_smoke(save_params: Option<&str>) {
         Task::Forecast { horizon: 8 },
         4,
     );
-    let report = fit(
-        &model,
-        &mut store,
-        &src,
-        None,
-        &TrainConfig::builder()
-            .epochs(3)
-            .batch_size(16)
-            .lr(5e-3)
-            .seed(11)
-            .build(),
-    );
+    let report = fit(&model, &mut store, &src, None, cfg);
     println!(
         "ckpt-smoke,epochs={},batches={},aborted={},resumed={},final_loss={:.6}",
         report.epochs_run,

@@ -60,11 +60,12 @@ pub fn run_single(spec: &AnomalySpec, model_spec: ModelSpec, scale: Scale) -> De
         None,
         // Reconstruction heads need a few more passes than forecasting
         // (uniform across models for fairness).
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 3)
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 3,
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..TrainConfig::default()
+        },
     );
 
     // Score the test stream with non-overlapping windows using *masked*

@@ -71,11 +71,12 @@ pub fn run_variant(variant: Variant, scale: Scale) -> (CaseStudyResult, Decompos
         &mut store,
         &train_src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 1)
-            .batch_size(scale.batch_size())
-            .lr(2e-3)
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 1,
+            batch_size: scale.batch_size(),
+            lr: 2e-3,
+            ..TrainConfig::default()
+        },
     );
 
     // Decompose the first test window.

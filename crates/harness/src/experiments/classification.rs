@@ -41,11 +41,12 @@ pub fn run_single(spec: &ClassSpec, model_spec: ModelSpec, scale: Scale) -> f32 
         &mut store,
         &train_src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 2) // classification sets are small
-            .batch_size(scale.batch_size().min(16))
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 2, // classification sets are small
+            batch_size: scale.batch_size().min(16),
+            lr: model_spec.default_lr(),
+            ..TrainConfig::default()
+        },
     );
     evaluate_accuracy(&model, &store, &test_src, 16)
 }

@@ -70,11 +70,12 @@ pub fn run_single(
         &mut store,
         &train_src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs())
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs(),
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..TrainConfig::default()
+        },
     );
     evaluate_forecast(&model, &store, &test_src, scale.batch_size())
 }

@@ -122,11 +122,12 @@ pub fn run_single(col: &M4Collection, model_spec: ModelSpec, scale: Scale) -> M4
         &mut store,
         &src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 2) // short univariate series train fast
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 2, // short univariate series train fast
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..TrainConfig::default()
+        },
     );
     score_forecasts(col, |hist_window| {
         let (mean, std) = window_stats(hist_window);

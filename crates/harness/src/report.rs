@@ -35,11 +35,6 @@ impl Table {
         self.footnote = Some(note.into());
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned ASCII.
     pub fn render(&self) -> String {
         let cols = self.header.len();

@@ -479,11 +479,6 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Detector state, for callers that pace scenarios off the engine.
-    pub fn detector_state(&self) -> DriftState {
-        self.detector.state()
-    }
-
     /// Samples ingested so far.
     pub fn samples_seen(&self) -> u64 {
         self.ring.samples_seen()

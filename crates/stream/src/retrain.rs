@@ -55,15 +55,16 @@ impl RetrainParams {
     /// engine and the standalone replay build their config here, so the
     /// fingerprints (and numerics) cannot diverge.
     pub fn train_config(&self, dir: &Path) -> TrainConfig {
-        TrainConfig::builder()
-            .epochs(self.epochs)
-            .batch_size(self.batch_size)
-            .lr(self.lr)
-            .schedule(LrSchedule::Constant)
-            .seed(self.seed)
-            .checkpoint_dir(Some(dir.to_path_buf()))
-            .resume(true)
-            .build()
+        TrainConfig {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            schedule: LrSchedule::Constant,
+            seed: self.seed,
+            checkpoint_dir: Some(dir.to_path_buf()),
+            resume: true,
+            ..TrainConfig::default()
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! drift incident can be reproduced after the fact from its recorded
 //! checkpoint + buffer alone.
 
-use msd_harness::{fit_monitored, TrainMonitor};
+use msd_harness::{fit_monitored, TrainConfig, TrainMonitor};
 use msd_nn::{ArtifactWriter, ParamStore, PrecisionTier, Task};
 use msd_stream::{
     install_checkpoint, BufferSource, DriftScenario, RetrainParams, ScenarioConfig, StreamConfig,
@@ -78,4 +78,24 @@ fn engine_fine_tunes_replay_bit_identically_from_their_checkpoints() {
             "replayed fine-tune {i} is not byte-identical to the engine's"
         );
     }
+}
+
+#[test]
+fn retrain_config_ignores_training_env_variables() {
+    // The warm retrain's config comes from code alone: no `MSD_*`
+    // variable in the environment may change it.
+    let vars = [("MSD_KILL_AFTER", "1"), ("MSD_MAX_RETRIES", "0")];
+    let saved: Vec<_> = vars.iter().map(|(k, _)| std::env::var_os(k)).collect();
+    for (k, v) in vars {
+        std::env::set_var(k, v);
+    }
+    let cfg = RetrainParams::smoke().train_config(&temp_dir("env"));
+    for ((k, _), old) in vars.iter().zip(saved) {
+        match old {
+            Some(v) => std::env::set_var(k, v),
+            None => std::env::remove_var(k),
+        }
+    }
+    assert_eq!(cfg.kill_after_batches, None);
+    assert_eq!(cfg.max_retries, TrainConfig::default().max_retries);
 }

@@ -207,12 +207,6 @@ impl QuantTensor {
             .map(|(i, &q)| q as f32 * self.scales[i % self.scales.len()])
             .collect()
     }
-
-    /// Heap bytes of the quantized representation (data + scales), the
-    /// number the bytes-per-model benchmark reports.
-    pub fn encoded_bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * 4
-    }
 }
 
 /// A borrowed view of a [`QuantTensor`], handed across the

@@ -118,11 +118,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row-major strides for the current shape.
     pub fn strides(&self) -> Vec<usize> {
         strides_for(&self.shape)

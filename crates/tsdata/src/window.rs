@@ -131,11 +131,6 @@ impl Batcher {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
-
-    /// Index of the next batch this iterator will yield.
-    pub fn next_batch_index(&self) -> usize {
-        self.cursor / self.batch_size
-    }
 }
 
 impl Iterator for Batcher {

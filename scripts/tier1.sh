@@ -64,7 +64,7 @@ cargo run --release --offline -p msd-harness --bin msd-experiment -- \
   ckpt-smoke --save-params "$REF_PARAMS"
 cargo run --release --offline -p msd-harness --bin msd-experiment -- \
   ckpt-smoke --checkpoint-dir "$CKPT_DIR" --checkpoint-every 2 --kill-after 5
-MSD_KILL_AFTER= cargo run --release --offline -p msd-harness --bin msd-experiment -- \
+cargo run --release --offline -p msd-harness --bin msd-experiment -- \
   ckpt-smoke --checkpoint-dir "$CKPT_DIR" --resume --save-params "$RES_PARAMS" \
   | tee target/ckpt-smoke-resume.out
 grep -q 'resumed=true' target/ckpt-smoke-resume.out || {
